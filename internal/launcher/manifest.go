@@ -105,9 +105,11 @@ func FormatTable(s *Summary) string {
 		"job", "status", attW, "att", "wall", "wait", "cycles", "sim-MIPS", "exit")
 	for i := range s.Jobs {
 		r := &s.Jobs[i]
-		// Carried jobs never entered this run's queue; their wait is "-".
+		// Jobs that made no attempt in this run (carried from a prior
+		// run, skipped, cancelled before start) never waited in its
+		// queue; their wait is "-".
 		wait := "-"
-		if r.Carried == nil {
+		if r.Attempts > 0 {
 			wait = r.QueueWait.Round(time.Millisecond).String()
 		}
 		fmt.Fprintf(&b, "%-24s %-9s %*s  %10s  %8s  %14d  %9.1f  %4d\n",

@@ -83,12 +83,17 @@ type cjob struct {
 	worker    int     // owning worker index, -1 when unowned
 	hedge     int     // hedge worker index, -1 when not hedged
 	leased    time.Time
-	started   bool // a start event arrived from the current worker
-	maxAtt    int  // highest absolute attempt observed
-	refusals  int  // failed assignment sweeps (liveness bound)
-	ckpt      *checkpoint.Pointer
-	done      bool
-	rec       launcher.Record
+	// firstLeased is the job's first lease; wait runs from it to the
+	// first start event seen from an owner (the summary's queue wait,
+	// observed at poll granularity).
+	firstLeased time.Time
+	wait        time.Duration
+	started     bool // a start event arrived from the current worker
+	maxAtt      int  // highest absolute attempt observed
+	refusals    int  // failed assignment sweeps (liveness bound)
+	ckpt        *checkpoint.Pointer
+	done        bool
+	rec         launcher.Record
 }
 
 // cworker is the coordinator's view of one worker.
@@ -208,15 +213,16 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		if j.done {
 			rec := j.rec
 			sum.Jobs = append(sum.Jobs, launcher.Result{
-				Name:     name,
-				Status:   rec.Status,
-				Attempts: rec.Attempts - j.origPrior,
-				Prior:    j.origPrior,
-				Resumed:  rec.Resumed,
-				Err:      rec.Error,
-				Metrics:  launcher.Metrics{ExitCode: rec.Exit, Cycles: rec.Cycles, Instrs: rec.Instrs},
-				Wall:     time.Duration(rec.WallMS * float64(time.Millisecond)),
-				Carried:  &rec,
+				Name:      name,
+				Status:    rec.Status,
+				Attempts:  rec.Attempts - j.origPrior,
+				Prior:     j.origPrior,
+				Resumed:   rec.Resumed,
+				Err:       rec.Error,
+				Metrics:   launcher.Metrics{ExitCode: rec.Exit, Cycles: rec.Cycles, Instrs: rec.Instrs},
+				Wall:      time.Duration(rec.WallMS * float64(time.Millisecond)),
+				QueueWait: j.wait,
+				Carried:   &rec,
 			})
 			continue
 		}
@@ -369,6 +375,9 @@ func (c *coordinator) assign(ctx context.Context, j *cjob) {
 		j.worker = best
 		j.started = false
 		j.leased = time.Now()
+		if j.firstLeased.IsZero() {
+			j.firstLeased = j.leased
+		}
 		j.refusals = 0
 		if j.hedge == best {
 			j.hedge = -1
@@ -498,6 +507,9 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 			return // the hedge's start doesn't change the owner lease state
 		}
 		j.started = true
+		if j.wait == 0 {
+			j.wait = time.Since(j.firstLeased)
+		}
 		if err := c.opts.Journal.Start(ev.Job, ev.Attempt); err != nil {
 			c.logf("coordinator: journal write failed: %v", err)
 		}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -495,4 +496,38 @@ func TestTransferPushFetchRoundTrip(t *testing.T) {
 		t.Fatalf("pointer round trip: sent %+v got %+v", ptr, got)
 	}
 	_ = os.RemoveAll(dir)
+}
+
+// TestCoordinatorReportsQueueWait pins the summary's queue wait for fleet
+// jobs: on a one-slot fleet the second job sits queued behind the first,
+// so its wait covers the first job's run time; the table prints it.
+func TestCoordinatorReportsQueueWait(t *testing.T) {
+	const run = 150 * time.Millisecond
+	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+		return WorkerConfig{
+			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+				time.Sleep(run)
+				return &RunOutput{Metrics: launcher.Metrics{Cycles: 1}}, nil
+			}),
+			Slots: 1, Obs: obs.NewRegistry(),
+		}
+	})
+	specs := []JobSpec{{Name: "first", Sim: "qemu", Bin: "sha256:aa"}, {Name: "second", Sim: "qemu", Bin: "sha256:aa"}}
+	sum, err := Launch(context.Background(), specs, CoordOptions{Workers: addrs, Poll: 5 * time.Millisecond, NoSteal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Err() != nil || len(sum.Jobs) != 2 {
+		t.Fatalf("summary = %+v", sum)
+	}
+	if w := sum.Jobs[1].QueueWait; w < run {
+		t.Errorf("queued job's wait = %s, want at least the first job's %s run", w, run)
+	}
+	if w := sum.Jobs[0].QueueWait; w <= 0 || w >= sum.Jobs[1].QueueWait {
+		t.Errorf("first job's wait = %s, want positive and below the queued job's %s", w, sum.Jobs[1].QueueWait)
+	}
+	table := launcher.FormatTable(sum)
+	if want := sum.Jobs[1].QueueWait.Round(time.Millisecond).String(); !strings.Contains(table, want) {
+		t.Errorf("table does not show the queued job's wait %s:\n%s", want, table)
+	}
 }

@@ -176,7 +176,7 @@ func TestStaticTaken(t *testing.T) {
 func TestFoldedRegisterConsistency(t *testing.T) {
 	// The folded register must equal a from-scratch fold of the same window.
 	hl, width := uint(13), uint(5)
-	f := folded{origLen: hl, width: width}
+	f := newFolded(hl, width)
 	var hist []uint64
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
@@ -213,8 +213,8 @@ func TestFoldedRegisterConsistency(t *testing.T) {
 		// window, checked by sensitivity below.
 	}
 	// Sensitivity: flipping a bit inside the window changes the fold.
-	f1 := folded{origLen: hl, width: width}
-	f2 := folded{origLen: hl, width: width}
+	f1 := newFolded(hl, width)
+	f2 := newFolded(hl, width)
 	seq := make([]uint64, 40)
 	for i := range seq {
 		seq[i] = uint64(rng.Intn(2))

@@ -34,41 +34,61 @@ func DefaultTageConfig() TageConfig {
 	}
 }
 
+// tageEntry is 8 bytes (tag first, so the two byte fields share its
+// padding): the four default tables fit in 32 KiB.
 type tageEntry struct {
-	ctr    int8 // 3-bit signed counter, -4..3; >=0 predicts taken
 	tag    uint32
+	ctr    int8  // 3-bit signed counter, -4..3; >=0 predicts taken
 	useful uint8 // 2-bit usefulness
 }
 
-// folded is an incrementally maintained folded-history register.
+// folded is an incrementally maintained folded-history register. The
+// rotate amount and mask are fixed by the lengths, so newFolded computes
+// them once, and update needs no division. oldBit is 0 or 1, so -oldBit
+// selects out without a variable shift.
 type folded struct {
-	value   uint64
-	origLen uint // history length being folded
-	width   uint // folded width in bits
+	value uint64
+	width uint   // folded width in bits
+	out   uint64 // 1 << (origLen % width): where the outgoing bit lands
+	mask  uint64 // 1<<width - 1
+}
+
+// newFolded returns a register folding origLen history bits into width.
+func newFolded(origLen, width uint) folded {
+	f := folded{width: width, mask: 1<<width - 1}
+	if width > 0 {
+		f.out = 1 << (origLen % width)
+	}
+	return f
 }
 
 func (f *folded) update(newBit, oldBit uint64) {
-	f.value = (f.value << 1) | newBit
-	f.value ^= oldBit << (f.origLen % f.width)
-	f.value ^= f.value >> f.width
-	f.value &= 1<<f.width - 1
+	v := f.value<<1 | newBit
+	v ^= f.out & -oldBit
+	v ^= v >> f.width
+	f.value = v & f.mask
 }
 
 type tageTable struct {
 	entries []tageEntry
 	histLen uint
 	idxBits uint
-	tagBits uint
+	idxMask uint64
+	tagMask uint64
 	fIdx    folded
 	fTag1   folded
 	fTag2   folded
+	// lastIdx/lastTag hold this table's slot and tag for the branch
+	// between Predict and Update.
+	lastIdx uint64
+	lastTag uint32
 }
 
 // Tage is the predictor state.
 type Tage struct {
 	cfg    TageConfig
 	base   *Bimodal
-	tables []*tageTable
+	tables []tageTable
 
 	// Global history as a circular bit buffer (most recent at head-1).
 	hist    []uint8
@@ -83,8 +103,6 @@ type Tage struct {
 	lastProvider int // providing table index, -1 = base
 	lastAltPred  bool
 	lastPred     bool
-	lastIndices  []uint64
-	lastTags     []uint32
 }
 
 // NewTage constructs a TAGE predictor.
@@ -102,15 +120,16 @@ func (t *Tage) Reset() {
 	t.base = NewBimodal(t.cfg.BaseBits)
 	t.tables = nil
 	for _, hl := range t.cfg.HistLengths {
-		tb := &tageTable{
+		tb := tageTable{
 			entries: make([]tageEntry, 1<<t.cfg.TableBits),
 			histLen: hl,
 			idxBits: t.cfg.TableBits,
-			tagBits: t.cfg.TagBits,
+			idxMask: 1<<t.cfg.TableBits - 1,
+			tagMask: 1<<t.cfg.TagBits - 1,
 		}
-		tb.fIdx = folded{origLen: hl, width: tb.idxBits}
-		tb.fTag1 = folded{origLen: hl, width: tb.tagBits}
-		tb.fTag2 = folded{origLen: hl, width: tb.tagBits - 1}
+		tb.fIdx = newFolded(hl, tb.idxBits)
+		tb.fTag1 = newFolded(hl, t.cfg.TagBits)
+		tb.fTag2 = newFolded(hl, t.cfg.TagBits-1)
 		t.tables = append(t.tables, tb)
 	}
 	maxLen := int(t.cfg.HistLengths[len(t.cfg.HistLengths)-1])
@@ -118,14 +137,17 @@ func (t *Tage) Reset() {
 	t.head = 0
 	t.histLen = maxLen + 1
 	t.allocFailures = 0
-	t.lastIndices = make([]uint64, len(t.tables))
-	t.lastTags = make([]uint32, len(t.tables))
 	t.lastValid = false
 }
 
-// histBit returns the history bit `age` branches ago (age >= 1).
+// histBit returns the history bit `age` branches ago (age >= 1). Every
+// table's age is below histLen, so the wrap loop adds histLen at most
+// once: a compare and an add instead of a division.
 func (t *Tage) histBit(age uint) uint64 {
-	i := (t.head - int(age) + t.histLen*2) % t.histLen
+	i := t.head - int(age)
+	for i < 0 {
+		i += t.histLen
+	}
 	return uint64(t.hist[i])
 }
 
@@ -135,19 +157,22 @@ func (t *Tage) pushHistory(taken bool) {
 		b = 1
 	}
 	newBit := uint64(b)
-	for _, tb := range t.tables {
+	for i := range t.tables {
+		tb := &t.tables[i]
 		oldBit := t.histBit(tb.histLen) // bit falling out of this table's window
 		tb.fIdx.update(newBit, oldBit)
 		tb.fTag1.update(newBit, oldBit)
 		tb.fTag2.update(newBit, oldBit)
 	}
 	t.hist[t.head] = b
-	t.head = (t.head + 1) % t.histLen
+	if t.head++; t.head == t.histLen {
+		t.head = 0
+	}
 }
 
 func (tb *tageTable) indexAndTag(pc uint64) (uint64, uint32) {
-	idx := ((pc >> 2) ^ (pc >> (2 + tb.idxBits)) ^ tb.fIdx.value) & (1<<tb.idxBits - 1)
-	tag := uint32(((pc >> 2) ^ tb.fTag1.value ^ (tb.fTag2.value << 1)) & (1<<tb.tagBits - 1))
+	idx := ((pc >> 2) ^ (pc >> (2 + tb.idxBits)) ^ tb.fIdx.value) & tb.idxMask
+	tag := uint32(((pc >> 2) ^ tb.fTag1.value ^ (tb.fTag2.value << 1)) & tb.tagMask)
 	return idx, tag
 }
 
@@ -162,9 +187,10 @@ func (t *Tage) Predict(pc uint64) bool {
 
 	altFound := false
 	for ti := len(t.tables) - 1; ti >= 0; ti-- {
-		idx, tag := t.tables[ti].indexAndTag(pc)
-		t.lastIndices[ti], t.lastTags[ti] = idx, tag
-		e := &t.tables[ti].entries[idx]
+		tb := &t.tables[ti]
+		idx, tag := tb.indexAndTag(pc)
+		tb.lastIdx, tb.lastTag = idx, tag
+		e := &tb.entries[idx]
 		if e.tag == tag {
 			if t.lastProvider == -1 {
 				t.lastProvider = ti
@@ -189,8 +215,8 @@ func (t *Tage) Update(pc uint64, taken bool) {
 
 	correct := t.lastPred == taken
 	if t.lastProvider >= 0 {
-		tb := t.tables[t.lastProvider]
-		e := &tb.entries[t.lastIndices[t.lastProvider]]
+		tb := &t.tables[t.lastProvider]
+		e := &tb.entries[tb.lastIdx]
 		if (e.ctr >= 0) == taken && t.lastAltPred != taken {
 			if e.useful < 3 {
 				e.useful++
@@ -208,9 +234,10 @@ func (t *Tage) Update(pc uint64, taken bool) {
 	if !correct && t.lastProvider < len(t.tables)-1 {
 		allocated := false
 		for ti := t.lastProvider + 1; ti < len(t.tables); ti++ {
-			e := &t.tables[ti].entries[t.lastIndices[ti]]
+			tb := &t.tables[ti]
+			e := &tb.entries[tb.lastIdx]
 			if e.useful == 0 {
-				e.tag = t.lastTags[ti]
+				e.tag = tb.lastTag
 				if taken {
 					e.ctr = 0
 				} else {
@@ -225,7 +252,8 @@ func (t *Tage) Update(pc uint64, taken bool) {
 			// Periodically age usefulness so the predictor can adapt.
 			if t.allocFailures >= 32 {
 				t.allocFailures = 0
-				for _, tb := range t.tables {
+				for ti := range t.tables {
+					tb := &t.tables[ti]
 					for i := range tb.entries {
 						if tb.entries[i].useful > 0 {
 							tb.entries[i].useful--

@@ -4,7 +4,10 @@
 // memory, which keeps the functional/cycle-exact equivalence trivially true.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -24,14 +27,28 @@ func DefaultL1D() Config { return Config{SizeBytes: 16 << 10, LineBytes: 64, Way
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
-	cfg      Config
-	sets     int
+	cfg  Config
+	sets int
+	ways int
+	// An address splits into tag | set | offset: line = addr>>lineBits,
+	// set = line&setMask, tag = line>>setBits.
 	lineBits uint
-	// tags[set][way]; lru[set][way] holds recency (higher = more recent).
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
+	setBits  uint
+	setMask  uint64
+	// Way state of set s lives at [s*ways, (s+1)*ways); lru holds
+	// recency (higher = more recent).
+	tags  []uint64
+	valid []bool
+	lru   []uint64
 	clock uint64
+	// memoLine/memoSlot remember the line of the last access and the way
+	// slot holding it (memoOK once set), so back-to-back accesses to one
+	// line — most instruction fetches — skip the set search. The memo is
+	// only a shortcut: it updates clock, LRU and Hits exactly as the
+	// search would.
+	memoLine uint64
+	memoSlot int
+	memoOK   bool
 
 	Hits   uint64
 	Misses uint64
@@ -54,58 +71,66 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	c := &Cache{cfg: cfg, sets: sets}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.lineBits++
-	}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.lru[i] = make([]uint64, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, sets: sets, ways: cfg.Ways, setMask: uint64(sets - 1)}
+	c.lineBits = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+	c.setBits = uint(bits.TrailingZeros(uint(sets)))
+	c.tags = make([]uint64, sets*cfg.Ways)
+	c.valid = make([]bool, sets*cfg.Ways)
+	c.lru = make([]uint64, sets*cfg.Ways)
 	return c, nil
 }
 
 // Access looks up addr, updating LRU state and filling on miss.
-// It reports whether the access hit.
+// It reports whether the access hit. The memo hit is kept small enough
+// to inline into the timing model's loop; everything else is lookup.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := int(line & uint64(c.sets-1))
-	tag := line >> uint(log2(c.sets))
 	c.clock++
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lru[set][w] = c.clock
+	if line == c.memoLine && c.memoOK {
+		c.lru[c.memoSlot] = c.clock
+		c.Hits++
+		return true
+	}
+	return c.lookup(line)
+}
+
+// lookup searches line's set, filling the LRU way on a miss, and
+// memoizes the way that now holds the line. c.clock is already bumped.
+func (c *Cache) lookup(line uint64) bool {
+	base := int(line&c.setMask) * c.ways
+	tag := line >> c.setBits
+	tags := c.tags[base : base+c.ways]
+	valid := c.valid[base : base+c.ways]
+	lru := c.lru[base : base+c.ways]
+	for w, t := range tags {
+		if t == tag && valid[w] {
+			lru[w] = c.clock
 			c.Hits++
+			c.memoLine, c.memoSlot, c.memoOK = line, base+w, true
 			return true
 		}
 	}
 	// Miss: fill LRU way.
 	victim := 0
-	for w := 1; w < c.cfg.Ways; w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lru[set][victim] = c.clock
+	tags[victim] = tag
+	valid[victim] = true
+	lru[victim] = c.clock
 	c.Misses++
+	c.memoLine, c.memoSlot, c.memoOK = line, base+victim, true
 	return false
 }
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		for w := range c.valid[i] {
-			c.valid[i][w] = false
-			c.lru[i][w] = 0
-		}
-	}
+	clear(c.valid)
+	clear(c.lru)
 	c.clock, c.Hits, c.Misses = 0, 0, 0
+	c.memoOK = false
 }
 
 // HitRate returns hits/(hits+misses), or 1 when no accesses occurred.
@@ -119,12 +144,3 @@ func (c *Cache) HitRate() float64 {
 
 // Sets returns the number of sets (for tests and introspection).
 func (c *Cache) Sets() int { return c.sets }
-
-func log2(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}

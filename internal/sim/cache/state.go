@@ -24,17 +24,18 @@ type state struct {
 // deterministic simulation checkpoint.
 func (c *Cache) Save() ([]byte, error) {
 	st := state{
-		Tags:   make([][]uint64, len(c.tags)),
-		Valid:  make([][]bool, len(c.valid)),
-		LRU:    make([][]uint64, len(c.lru)),
+		Tags:   make([][]uint64, c.sets),
+		Valid:  make([][]bool, c.sets),
+		LRU:    make([][]uint64, c.sets),
 		Clock:  c.clock,
 		Hits:   c.Hits,
 		Misses: c.Misses,
 	}
-	for i := range c.tags {
-		st.Tags[i] = append([]uint64(nil), c.tags[i]...)
-		st.Valid[i] = append([]bool(nil), c.valid[i]...)
-		st.LRU[i] = append([]uint64(nil), c.lru[i]...)
+	for i := range st.Tags {
+		lo, hi := i*c.ways, (i+1)*c.ways
+		st.Tags[i] = append([]uint64(nil), c.tags[lo:hi]...)
+		st.Valid[i] = append([]bool(nil), c.valid[lo:hi]...)
+		st.LRU[i] = append([]uint64(nil), c.lru[lo:hi]...)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
@@ -54,13 +55,18 @@ func (c *Cache) Restore(data []byte) error {
 		return fmt.Errorf("cache: restore: %d sets, want %d", len(st.Tags), c.sets)
 	}
 	for i := range st.Tags {
-		if len(st.Tags[i]) != c.cfg.Ways || len(st.Valid[i]) != c.cfg.Ways || len(st.LRU[i]) != c.cfg.Ways {
-			return fmt.Errorf("cache: restore: set %d has %d ways, want %d", i, len(st.Tags[i]), c.cfg.Ways)
+		if len(st.Tags[i]) != c.ways || len(st.Valid[i]) != c.ways || len(st.LRU[i]) != c.ways {
+			return fmt.Errorf("cache: restore: set %d has %d ways, want %d", i, len(st.Tags[i]), c.ways)
 		}
-		copy(c.tags[i], st.Tags[i])
-		copy(c.valid[i], st.Valid[i])
-		copy(c.lru[i], st.LRU[i])
 	}
+	// Install only after the whole state checked out, so a rejected
+	// snapshot leaves the cache as it was.
+	for i := range st.Tags {
+		copy(c.tags[i*c.ways:], st.Tags[i])
+		copy(c.valid[i*c.ways:], st.Valid[i])
+		copy(c.lru[i*c.ways:], st.LRU[i])
+	}
+	c.memoOK = false
 	c.clock = st.Clock
 	c.Hits = st.Hits
 	c.Misses = st.Misses

@@ -138,7 +138,7 @@ const DefaultStackTop = 0x8000000
 func RunFunctional(m *Machine) (uint64, error) {
 	if len(m.Hooks) == 0 && m.Trace == nil && m.TamperFn == nil {
 		start := m.Instret
-		err := m.runFast()
+		err := m.runFast(nil, nil, nil)
 		return m.Instret - start, err
 	}
 	return RunReference(m)

@@ -10,10 +10,21 @@
 // diff_test.go lock runFast ≡ RunReference on snapshots, console bytes,
 // and retired-instruction counts.
 //
-// RunBatch is the cycle-exact simulator's loop: it retires instructions
-// through StepInto (which shares the predecoded fetch path and soft TLB),
-// emitting every Event and charging the timing model after each one, with
-// the per-batch bookkeeping amortized across len(evs) instructions.
+// runFast is also the cycle-exact simulator's loop. Armed by RunTimed, it
+// writes a compact Retire record per retired instruction (superblock
+// dispatch off) and hands each full buffer to the timing model's batch
+// charge. The rule that keeps timing exact is flush before observe: every
+// instruction that can observe or change time — ecall, CSR read, MMIO,
+// and the chunk boundaries where checkpoints, Stop polls and the
+// instruction limit sit — first charges the pending records into Now,
+// then retires through StepInto and is charged from its Event.
+//
+// RunBatch is the timing reference: it retires instructions through
+// StepInto (which shares the predecoded fetch path and soft TLB), emitting
+// every Event and charging the timing model after each one. RunTimed falls
+// back to it when hooks or a tamper function need per-instruction events,
+// and the rtlsim lockstep tests hold the record path to it cycle for
+// cycle.
 package sim
 
 import (
@@ -27,6 +38,10 @@ import (
 // so cancellation latency stays imperceptible while the poll cost
 // vanishes into the chunk.
 const stopPollChunk = 1 << 20
+
+// refBatch is how many instructions RunTimed's reference fallback retires
+// per RunBatch call, between Stop polls.
+const refBatch = 4096
 
 // RunBatch executes up to len(evs) instructions, writing one Event per
 // retired instruction. After each instruction the timing model is charged:
@@ -69,11 +84,47 @@ func (m *Machine) RunBatch(evs []Event, charge func(*Event) uint64) (int, error)
 	return n, nil
 }
 
-// runFast executes until the machine halts, advancing functional time (one
-// cycle per instruction). Callers must ensure no hooks, trace writer, or
-// tamper function are installed; devices are fine (MMIO takes the slow
-// path).
-func (m *Machine) runFast() error {
+// RunTimed runs the machine until it halts with cycle-exact time: Now
+// advances by the timing model's charge for every retired instruction.
+// It takes the predecoded fast loop whenever RunFunctional would (no
+// hooks, trace writer or tamper function), in which case instructions
+// retire into recs as Retire records and chargeRun bills each full run
+// of them in one call. Everything that can observe or change time — an
+// ECALL, a CSR read, MMIO, a checkpoint boundary, the Stop poll, the
+// instruction limit, any other slow-path instruction — first flushes the
+// pending records into Now and then retires on the reference StepInto
+// path, charged through charge. The guest, devices and checkpoints
+// therefore see exactly the Now of per-instruction charging, provided
+// chargeRun(rs) equals the sum of charge over the same instructions.
+// Otherwise (or with an empty recs) it falls back to RunBatch with
+// charge, the timing reference.
+// A closed Stop channel returns ErrStopped.
+func (m *Machine) RunTimed(recs []Retire, chargeRun func([]Retire) uint64, charge func(*Event) uint64) error {
+	if len(m.Hooks) != 0 || m.Trace != nil || m.TamperFn != nil || len(recs) == 0 {
+		// The batch length only paces the Stop polls between batches.
+		evs := make([]Event, refBatch)
+		for !m.Halted {
+			if m.Interrupted() {
+				return ErrStopped
+			}
+			if _, err := m.RunBatch(evs, charge); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return m.runFast(recs, chargeRun, charge)
+}
+
+// runFast executes until the machine halts. With a nil rec it advances
+// functional time (one cycle per instruction). Given a record buffer (by
+// RunTimed) it instead writes one Retire record per retired instruction
+// and charges them to Now in batches through recCharge; instructions
+// that take the slow path are charged one by one through evCharge, after
+// the pending records (see RunTimed). Callers must ensure no hooks,
+// trace writer, or tamper function are installed; devices are fine (MMIO
+// takes the slow path).
+func (m *Machine) runFast(rec []Retire, recCharge func([]Retire) uint64, evCharge func(*Event) uint64) error {
 	if m.Halted {
 		return nil
 	}
@@ -93,7 +144,15 @@ func (m *Machine) runFast() error {
 	}
 	devLo, devSpan := m.devLo, m.devHi-m.devLo
 	predLo, predSpan := m.predLo, m.predHi-m.predLo
-	traceOff := m.TraceOff
+	// Recording turns superblock dispatch off: a trace retires many
+	// instructions per hand-off and would skip their records.
+	traceOff := m.TraceOff || rec != nil
+	// The budget never exceeds the record buffer, so a full buffer is
+	// always a chunk end.
+	span := ^uint64(0)
+	if rec != nil {
+		span = uint64(len(rec))
+	}
 
 	// Declared out of the loop so goto slowpath never jumps over a
 	// declaration in scope at the label. The current segment's fields are
@@ -103,10 +162,15 @@ func (m *Machine) runFast() error {
 	// Instead of bumping Instret and Now per instruction, the loop counts
 	// a single budget down from the instruction limit; the retired count
 	// is reconstructed whenever state is published at slowpath. Functional
-	// time advances one cycle per instruction, so Now moves in lockstep.
+	// time advances one cycle per instruction, so Now moves in lockstep;
+	// recorded time is the charge of the records written since the last
+	// publish.
 	var (
 		in       uop
 		next     uint64
+		addr     uint64 // effective address of the last load/store
+		taken    bool   // outcome of the last conditional branch
+		nrec     int
 		ev       Event
 		segBase  uint64
 		segUops  []uop
@@ -120,23 +184,7 @@ func (m *Machine) runFast() error {
 	if err := m.maybeCheckpoint(); err != nil {
 		return err
 	}
-	budget0 = 0
-	if limit > m.Instret {
-		budget0 = limit - m.Instret
-	}
-	if m.Stop != nil && budget0 > stopPollChunk {
-		// A kill switch is installed: count the budget down in chunks so
-		// the channel is polled every stopPollChunk instructions. Without
-		// one (the common case) the budget spans the whole run and the
-		// loop is unchanged.
-		budget0 = stopPollChunk
-	}
-	// Checkpointing rides the same chunk mechanism: clamping the budget to
-	// the boundary distance makes the loop surface at exact multiples of
-	// CkptEvery, where maybeCheckpoint fires with state published.
-	if d := m.ckptDist(); budget0 > d {
-		budget0 = d
-	}
+	budget0 = m.fastBudget(limit, span)
 	budget = budget0
 
 	for {
@@ -147,26 +195,22 @@ func (m *Machine) runFast() error {
 			// raises the instruction-limit trap.
 			m.PC = pc
 			m.Instret += budget0
-			m.Now += budget0
+			if rec != nil {
+				m.Now += recCharge(rec[:nrec])
+				nrec = 0
+			} else {
+				m.Now += budget0
+			}
 			m.flushObs()
 			if err := m.maybeCheckpoint(); err != nil {
 				return err
 			}
-			budget0 = 0
-			if limit > m.Instret {
-				budget0 = limit - m.Instret
-			}
+			budget0 = m.fastBudget(limit, span)
 			if budget0 == 0 {
 				goto slowpath // consumed is now zero; StepInto raises the limit trap
 			}
 			if m.Interrupted() {
 				return ErrStopped
-			}
-			if m.Stop != nil && budget0 > stopPollChunk {
-				budget0 = stopPollChunk
-			}
-			if d := m.ckptDist(); budget0 > d {
-				budget0 = d
 			}
 			budget = budget0
 			continue
@@ -321,32 +365,38 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = t
 			regs[0] = 0
 		case isa.OpBEQ:
-			if regs[in.Rs1&31] == regs[in.Rs2&31] {
+			taken = regs[in.Rs1&31] == regs[in.Rs2&31]
+			if taken {
 				next = pc + uint64(in.Imm)
 			}
 		case isa.OpBNE:
-			if regs[in.Rs1&31] != regs[in.Rs2&31] {
+			taken = regs[in.Rs1&31] != regs[in.Rs2&31]
+			if taken {
 				next = pc + uint64(in.Imm)
 			}
 		case isa.OpBLT:
-			if int64(regs[in.Rs1&31]) < int64(regs[in.Rs2&31]) {
+			taken = int64(regs[in.Rs1&31]) < int64(regs[in.Rs2&31])
+			if taken {
 				next = pc + uint64(in.Imm)
 			}
 		case isa.OpBGE:
-			if int64(regs[in.Rs1&31]) >= int64(regs[in.Rs2&31]) {
+			taken = int64(regs[in.Rs1&31]) >= int64(regs[in.Rs2&31])
+			if taken {
 				next = pc + uint64(in.Imm)
 			}
 		case isa.OpBLTU:
-			if regs[in.Rs1&31] < regs[in.Rs2&31] {
+			taken = regs[in.Rs1&31] < regs[in.Rs2&31]
+			if taken {
 				next = pc + uint64(in.Imm)
 			}
 		case isa.OpBGEU:
-			if regs[in.Rs1&31] >= regs[in.Rs2&31] {
+			taken = regs[in.Rs1&31] >= regs[in.Rs2&31]
+			if taken {
 				next = pc + uint64(in.Imm)
 			}
 
 		case isa.OpLD:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -361,7 +411,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpLW:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -376,7 +426,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = uint64(int64(int32(v)))
 			regs[0] = 0
 		case isa.OpLWU:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -391,7 +441,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = uint64(v)
 			regs[0] = 0
 		case isa.OpLH:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -406,7 +456,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = uint64(int64(int16(v)))
 			regs[0] = 0
 		case isa.OpLHU:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -421,7 +471,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = uint64(v)
 			regs[0] = 0
 		case isa.OpLB:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -432,7 +482,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = uint64(int64(int8(v)))
 			regs[0] = 0
 		case isa.OpLBU:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -444,7 +494,7 @@ func (m *Machine) runFast() error {
 			regs[0] = 0
 
 		case isa.OpSD:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -457,7 +507,7 @@ func (m *Machine) runFast() error {
 				m.invalidateCode(addr, 8)
 			}
 		case isa.OpSW:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -470,7 +520,7 @@ func (m *Machine) runFast() error {
 				m.invalidateCode(addr, 4)
 			}
 		case isa.OpSH:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -483,7 +533,7 @@ func (m *Machine) runFast() error {
 				m.invalidateCode(addr, 2)
 			}
 		case isa.OpSB:
-			addr := regs[in.Rs1&31] + uint64(in.Imm)
+			addr = regs[in.Rs1&31] + uint64(in.Imm)
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
@@ -564,6 +614,10 @@ func (m *Machine) runFast() error {
 			goto slowpath
 		}
 
+		if rec != nil {
+			rec[nrec] = Retire{PC: pc, Addr: addr, Op: in.Op, Taken: taken}
+			nrec++
+		}
 		if next <= pc && !traceOff {
 			// A backward (or self) edge was just taken: the landing pc is a
 			// loop-head candidate. Dispatch a compiled superblock when one
@@ -595,45 +649,43 @@ func (m *Machine) runFast() error {
 		continue
 
 	slowpath:
-		// Publish architectural state, retire exactly one instruction on
-		// the reference path, and resume the fast loop.
+		// Publish architectural state (and, recording, the cycles of every
+		// pending record, so the slow instruction observes exact time),
+		// retire exactly one instruction on the reference path, and
+		// resume the fast loop.
 		consumed = budget0 - budget
 		m.PC = pc
 		m.Instret += consumed
-		m.Now += consumed
+		if rec != nil {
+			m.Now += recCharge(rec[:nrec])
+			nrec = 0
+		} else {
+			m.Now += consumed
+		}
 		if err := m.StepInto(&ev); err != nil {
 			return err
 		}
-		m.Now++ // RunFunctional charges one cycle per instruction
+		if rec != nil {
+			m.Now += evCharge(&ev)
+		} else {
+			m.Now++ // RunFunctional charges one cycle per instruction
+		}
 		pc = m.PC
 		// The slow step may have landed exactly on a checkpoint boundary.
 		if err := m.maybeCheckpoint(); err != nil {
 			return err
 		}
-		budget0 = 0
-		if limit > m.Instret {
-			budget0 = limit - m.Instret
-		}
-		budget = budget0
 		if m.Halted {
 			return nil
 		}
 		// Slow steps (MMIO, syscalls) can dominate some guests' time, so
 		// the kill switch is also polled here — with no Stop channel this
 		// is one nil check per slow step.
-		if m.Stop != nil {
-			if m.Interrupted() {
-				return ErrStopped
-			}
-			if budget0 > stopPollChunk {
-				budget0 = stopPollChunk
-				budget = budget0
-			}
+		if m.Interrupted() {
+			return ErrStopped
 		}
-		if d := m.ckptDist(); budget0 > d {
-			budget0 = d
-			budget = budget0
-		}
+		budget0 = m.fastBudget(limit, span)
+		budget = budget0
 		// The slow step may have decoded code at a new address (extending
 		// the store-invalidation guard) or switched curSeg; re-hoist the
 		// loop's cached bounds so fetch and the store guard stay coherent.
@@ -642,4 +694,28 @@ func (m *Machine) runFast() error {
 			segBase, segUops = s.base, s.uops
 		}
 	}
+}
+
+// fastBudget returns how many instructions the fast loop may retire
+// before it must surface: the distance to the instruction limit, capped
+// at the Stop poll chunk when a kill switch is installed, at the next
+// checkpoint boundary, and at span. Zero means the limit is reached.
+func (m *Machine) fastBudget(limit, span uint64) uint64 {
+	var b uint64
+	if limit > m.Instret {
+		b = limit - m.Instret
+	}
+	if m.Stop != nil && b > stopPollChunk {
+		// A kill switch is installed: count the budget down in chunks so
+		// the channel is polled every stopPollChunk instructions. Without
+		// one (the common case) the budget spans the whole run.
+		b = stopPollChunk
+	}
+	// Checkpointing rides the same chunk mechanism: clamping the budget to
+	// the boundary distance makes the loop surface at exact multiples of
+	// CkptEvery, where maybeCheckpoint fires with state published.
+	if d := m.ckptDist(); b > d {
+		b = d
+	}
+	return min(b, span)
 }

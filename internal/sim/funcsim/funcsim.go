@@ -122,7 +122,9 @@ func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) 
 	}
 
 	m := sim.NewMachine()
-	m.Console = console
+	if console != nil { // nil discards guest output (NewMachine's default)
+		m.Console = console
+	}
 	m.Devices = p.devices
 	m.Hooks = p.hooks
 	fbs := make([]func(*sim.Machine, uint64) (bool, error), len(p.fallbacks))

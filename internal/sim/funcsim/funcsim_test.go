@@ -134,3 +134,33 @@ func TestUnknownSyscallStillTraps(t *testing.T) {
 		t.Error("unhandled syscall should trap")
 	}
 }
+
+// chattyProgram writes to the console every way a guest can: the putint
+// and putchar calls, and a store to the UART data register.
+const chattyProgram = `
+_start:
+    li a0, 42
+    li a7, 0x101
+    ecall
+    li a0, 10
+    li a7, 0x102
+    ecall
+    li t0, 0x54000000
+    li t1, 33
+    sb t1, 0(t0)
+    li a0, 5
+    li a7, 93
+    ecall
+`
+
+// TestNilConsoleDiscards pins that a nil console discards guest output
+// instead of panicking on the first write.
+func TestNilConsoleDiscards(t *testing.T) {
+	res, err := New(Config{}).Exec(build(t, chattyProgram), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exit != 5 {
+		t.Errorf("exit = %d, want 5", res.Exit)
+	}
+}

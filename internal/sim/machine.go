@@ -60,6 +60,27 @@ type Event struct {
 	Syscall bool
 }
 
+// Retire is the compact record of one retired instruction that the
+// predecoded fast loop writes for a timing model (see RunTimed): 24 bytes
+// against Event's 88, and only the fields a charge reads.
+type Retire struct {
+	PC uint64
+	// Addr is the effective address of a load or store.
+	Addr uint64
+	Op   isa.Op
+	// Taken is the outcome of a conditional branch.
+	Taken bool
+	// MMIO is set when a load or store hit a device. The fast loop never
+	// sets it (device accesses take the reference path); it is here so
+	// an Event converts to a Retire without loss (RetireOf).
+	MMIO bool
+}
+
+// RetireOf is the Retire record of an Event.
+func RetireOf(ev *Event) Retire {
+	return Retire{PC: ev.PC, Addr: ev.MemAddr, Op: ev.Instr.Op, Taken: ev.Taken, MMIO: ev.MMIO}
+}
+
 // Machine is one simulated hart plus its memory and devices.
 type Machine struct {
 	Regs [32]uint64

@@ -56,8 +56,9 @@ type Config struct {
 	// (default OpMUL when FaultMask is set).
 	FaultOp isa.Op
 	// Stop is the cooperative kill switch threaded into each machine (see
-	// sim.Machine.Stop); polled between instruction batches, so a killed
-	// job stops within batchSize retired instructions, cycle-exactly.
+	// sim.Machine.Stop); polled between instruction batches and after
+	// slow-path instructions, so a killed job stops within recordBatch
+	// retired instructions (4096 on the reference fallback).
 	Stop <-chan struct{}
 	// Ckpt, when set, records completed Execs and snapshots machine plus
 	// timing-model state (predictor tables, cache tags, statistics) at
@@ -88,9 +89,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// batchSize is how many instructions each RunBatch call may retire before
-// returning to the platform loop.
-const batchSize = 4096
+// recordBatch is the length of the retire-record buffer: how many
+// instructions the fast loop retires before the timing model charges
+// them in one call. A power of two small enough that the buffer stays in
+// L1 between the write and the charge.
+const recordBatch = 1024
 
 // Stats accumulates timing statistics across a platform's executions.
 type Stats struct {
@@ -137,6 +140,10 @@ type Platform struct {
 	NodeName string
 
 	stats Stats
+	// opCost is each opcode's fixed cycle cost under cfg (opCosts).
+	opCost [256]uint64
+	// recs is the retire-record buffer, reused across Execs.
+	recs []sim.Retire
 }
 
 var _ sim.Platform = (*Platform)(nil)
@@ -168,6 +175,7 @@ func New(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("rtlsim: dcache: %w", err)
 	}
 	p := &Platform{cfg: cfg, pred: pred, icache: ic, dcache: dc}
+	p.opCost = opCosts(&p.cfg)
 	p.devices = []sim.Device{&sim.UART{}}
 	if cfg.Ckpt != nil {
 		cfg.Ckpt.SaveExtra = p.saveExtra
@@ -259,6 +267,41 @@ func (p *Platform) restoreExtra(extra map[string][]byte) error {
 	return nil
 }
 
+// newMachine builds the machine one Exec runs: the platform's devices,
+// hooks and syscall fallbacks, the instruction limit, the configured
+// stuck-at fault, and the executable loaded with its argv. A nil console
+// discards guest output.
+func (p *Platform) newMachine(exe *isa.Executable, console io.Writer, args []string) *sim.Machine {
+	m := sim.NewMachine()
+	if console != nil {
+		m.Console = console
+	}
+	m.Devices = p.devices
+	m.Hooks = p.hooks
+	fbs := make([]func(*sim.Machine, uint64) (bool, error), len(p.fallbacks))
+	for i, fb := range p.fallbacks {
+		fbs[i] = fb
+	}
+	m.SyscallFn = sim.BareSyscalls(fbs...)
+	m.MaxInstrs = p.cfg.MaxInstrs
+	if p.cfg.FaultMask != 0 {
+		faultOp := p.cfg.FaultOp
+		if faultOp == isa.OpInvalid {
+			faultOp = isa.OpMUL
+		}
+		mask := p.cfg.FaultMask
+		m.TamperFn = func(pc uint64, op isa.Op, rd uint64) uint64 {
+			if op == faultOp {
+				return rd | mask
+			}
+			return rd
+		}
+	}
+	m.LoadExecutable(exe, sim.DefaultStackTop)
+	sim.SetupArgv(m, args)
+	return m
+}
+
 // Exec implements sim.Platform: run the executable cycle-exactly. With
 // checkpointing enabled, execs a crashed attempt already completed replay
 // from their records (charging the recorded cycles), and the crashed
@@ -288,31 +331,7 @@ func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) 
 		}
 	}
 
-	m := sim.NewMachine()
-	m.Console = console
-	m.Devices = p.devices
-	m.Hooks = p.hooks
-	fbs := make([]func(*sim.Machine, uint64) (bool, error), len(p.fallbacks))
-	for i, fb := range p.fallbacks {
-		fbs[i] = fb
-	}
-	m.SyscallFn = sim.BareSyscalls(fbs...)
-	m.MaxInstrs = p.cfg.MaxInstrs
-	if p.cfg.FaultMask != 0 {
-		faultOp := p.cfg.FaultOp
-		if faultOp == isa.OpInvalid {
-			faultOp = isa.OpMUL
-		}
-		mask := p.cfg.FaultMask
-		m.TamperFn = func(pc uint64, op isa.Op, rd uint64) uint64 {
-			if op == faultOp {
-				return rd | mask
-			}
-			return rd
-		}
-	}
-	m.LoadExecutable(exe, sim.DefaultStackTop)
-	sim.SetupArgv(m, args)
+	m := p.newMachine(exe, console, args)
 
 	// Baselines predate BeginExec: a restore advances Instret and Now to
 	// the snapshot boundary, and the deltas below must span the whole exec.
@@ -328,25 +347,23 @@ func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) 
 		m.Console = w
 	}
 	// Metric shards attach after any restore, so a resumed exec reports
-	// only instructions it actually simulates; RunBatch flushes them once
-	// per batch.
+	// only instructions it actually simulates; the run loops flush them at
+	// batch boundaries.
 	m.AttachObs(p.cfg.Obs.Counter("sim_rtlsim_instrs_total").Shard(),
 		p.cfg.Obs.Counter("sim_rtlsim_cycles_total").Shard())
 	wallStart := time.Now()
-	// Batched stepping: the machine retires up to len(evs) instructions
-	// per call, charging the timing model after each one. Event order and
-	// charge order are identical to per-step simulation, so cycle counts
-	// stay bit-exact; the batch only amortizes loop bookkeeping.
-	evs := make([]sim.Event, batchSize)
-	for !m.Halted {
-		if m.Interrupted() {
-			p.cycles = m.Now
-			return nil, fmt.Errorf("rtlsim: %w", sim.ErrStopped)
-		}
-		if _, err := m.RunBatch(evs, p.charge); err != nil {
-			p.cycles = m.Now
-			return nil, fmt.Errorf("rtlsim: %w", err)
-		}
+	// The predecoded fast loop retires instructions into retire records
+	// and chargeRun bills each full buffer; anything that can observe
+	// time first flushes the pending charge and then steps and charges
+	// on the reference path (see sim.Machine.RunTimed). Charge order is
+	// retirement order either way, so cycle counts are bit-identical to
+	// per-instruction charging.
+	if p.recs == nil {
+		p.recs = make([]sim.Retire, recordBatch)
+	}
+	if err := m.RunTimed(p.recs, p.chargeRun, p.charge); err != nil {
+		p.cycles = m.Now
+		return nil, fmt.Errorf("rtlsim: %w", err)
 	}
 	p.cycles = m.Now
 	instrs := m.Instret - startInstrs
@@ -363,52 +380,102 @@ func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) 
 	return &sim.ExecResult{Exit: m.ExitCode, Instrs: instrs, Cycles: cycles}, nil
 }
 
-// charge computes the cycle cost of one executed instruction.
+// Instruction kinds that consult a timing structure beyond the I-cache,
+// indexed by opcode (opKind).
+const (
+	kindOther uint8 = iota
+	kindBranch
+	kindMem
+)
+
+var opKind = func() (t [256]uint8) {
+	for i := range t {
+		switch op := isa.Op(i); {
+		case op.IsBranch():
+			t[i] = kindBranch
+		case op.IsLoad() || op.IsStore():
+			t[i] = kindMem
+		}
+	}
+	return t
+}()
+
+// opCosts returns each opcode's fixed cycle cost: the base cycle plus
+// the JALR penalty or the multiplier/divider latency beyond it.
+func opCosts(cfg *Config) (t [256]uint64) {
+	for i := range t {
+		t[i] = 1
+		switch op := isa.Op(i); {
+		case op == isa.OpJALR:
+			t[i] += cfg.JalrPenalty
+		case op.IsMul():
+			t[i] += cfg.MulLatency - 1
+		case op.IsMulDiv():
+			t[i] += cfg.DivLatency - 1
+		}
+	}
+	return t
+}
+
+// chargeRun is the timing model: it returns the cycle cost of a run of
+// retired instructions, charged in retirement order, and accumulates
+// their statistics. Syscall and device/hook stall cycles are not in a
+// Retire; charge adds them for the instructions that have them.
+func (p *Platform) chargeRun(rs []sim.Retire) uint64 {
+	ic, dc, pred := p.icache, p.dcache, p.pred
+	cfg, opCost := &p.cfg, &p.opCost
+	var cycles, imiss, branches, mispred, mmio, dhit, dmiss uint64
+	for i := range rs {
+		r := &rs[i]
+		cost := opCost[r.Op]
+		// Instruction fetch.
+		if !ic.Access(r.PC) {
+			imiss++
+			cost += cfg.ICacheMissPenalty
+		}
+		if k := opKind[r.Op]; k == kindBranch {
+			branches++
+			if pred.Predict(r.PC) != r.Taken {
+				mispred++
+				cost += cfg.BranchMissPenalty
+			}
+			pred.Update(r.PC, r.Taken)
+		} else if k == kindMem {
+			if r.MMIO {
+				mmio++
+				cost += cfg.MMIOLatency
+			} else if dc.Access(r.Addr) {
+				dhit++
+			} else {
+				dmiss++
+				cost += cfg.DCacheMissPenalty
+			}
+		}
+		cycles += cost
+	}
+	st := &p.stats
+	st.ICacheHits += uint64(len(rs)) - imiss
+	st.ICacheMisses += imiss
+	st.Branches += branches
+	st.Mispredicts += mispred
+	st.MMIOAccesses += mmio
+	st.DCacheHits += dhit
+	st.DCacheMisses += dmiss
+	return cycles
+}
+
+// charge computes the cycle cost of one instruction retired on the
+// reference path: chargeRun's cost for its record plus the syscall and
+// stall cycles only an Event carries.
 func (p *Platform) charge(ev *sim.Event) uint64 {
-	cost := uint64(1)
-
-	// Instruction fetch.
-	if p.icache.Access(ev.PC) {
-		p.stats.ICacheHits++
-	} else {
-		p.stats.ICacheMisses++
-		cost += p.cfg.ICacheMissPenalty
-	}
-
-	op := ev.Instr.Op
-	switch {
-	case op.IsBranch():
-		p.stats.Branches++
-		pred := p.pred.Predict(ev.PC)
-		p.pred.Update(ev.PC, ev.Taken)
-		if pred != ev.Taken {
-			p.stats.Mispredicts++
-			cost += p.cfg.BranchMissPenalty
-		}
-	case op == isa.OpJALR:
-		cost += p.cfg.JalrPenalty
-	case op.IsLoad() || op.IsStore():
-		if ev.MMIO {
-			p.stats.MMIOAccesses++
-			cost += p.cfg.MMIOLatency
-		} else if p.dcache.Access(ev.MemAddr) {
-			p.stats.DCacheHits++
-		} else {
-			p.stats.DCacheMisses++
-			cost += p.cfg.DCacheMissPenalty
-		}
-	case op.IsMul():
-		cost += p.cfg.MulLatency - 1
-	case op.IsMulDiv():
-		cost += p.cfg.DivLatency - 1
-	}
+	r := [1]sim.Retire{sim.RetireOf(ev)}
+	cost := p.chargeRun(r[:])
 	if ev.Syscall {
 		p.stats.Syscalls++
 		cost += p.cfg.SyscallPenalty
 	}
 	// Device/hook-imposed stall cycles (e.g. a remote page fetch).
-	cost += ev.Extra
-	return cost
+	return cost + ev.Extra
 }
 
 // SecondsAt converts cycles to seconds at the configured frequency.

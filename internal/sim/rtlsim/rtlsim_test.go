@@ -397,3 +397,34 @@ func TestQuickRandomProgramsEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// TestNilConsoleDiscards pins that a nil console discards guest output
+// (putint, putchar, a UART store) instead of panicking on the first
+// write.
+func TestNilConsoleDiscards(t *testing.T) {
+	p, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Exec(build(t, `
+_start:
+    li a0, 42
+    li a7, 0x101
+    ecall
+    li a0, 10
+    li a7, 0x102
+    ecall
+    li t0, 0x54000000
+    li t1, 33
+    sb t1, 0(t0)
+    li a0, 5
+    li a7, 93
+    ecall
+`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exit != 5 {
+		t.Errorf("exit = %d, want 5", res.Exit)
+	}
+}

@@ -3,8 +3,9 @@
 // count, exit status, final registers/PC, and console transcript. The
 // reference interpreter (StepInto) is the oracle; the predecoded fast
 // loop and the trace-compiled loop are the suspects. rtlsim rides along
-// as a batched spot-check (it shares StepInto, so it guards the platform
-// plumbing rather than instruction semantics).
+// as a spot-check of the platform plumbing; it runs the fast loop in its
+// recording mode, whose timing the rtlsim lockstep tests hold to the
+// stepped reference.
 package verify
 
 import (

@@ -1,5 +1,7 @@
 #!/bin/sh
-# verify_gate.sh — the standing differential-verification gate. Three layers:
+# verify_gate.sh — the standing differential-verification gate. Three layers,
+# then short fuzz smokes of the cycle-exact timing lockstep and of the
+# timing-model checkpoint decoders:
 #
 #  1. The in-process verify suite under the race detector: coverage model,
 #     lockstep comparison, seeded-fault bisection (the injected divergence
@@ -71,5 +73,10 @@ if [ -z "$REPRO" ] || [ ! -s "$TMP/fault/cache/blobs/$(echo "$REPRO" | cut -c1-2
     echo "verify_gate.sh: FAIL (minimized repro $REPRO missing from the CAS)"
     exit 1
 fi
+
+echo "== fuzz smokes: cycle-exact vs timing reference, timing-model checkpoint decoders"
+go test -run '^$' -fuzz 'FuzzCycleExactVsReference' -fuzztime 10s ./internal/sim/rtlsim/
+go test -run '^$' -fuzz 'FuzzTageRestore' -fuzztime 10s ./internal/sim/bpred/
+go test -run '^$' -fuzz 'FuzzCacheRestore' -fuzztime 10s ./internal/sim/cache/
 
 echo "verify_gate.sh: PASS"
